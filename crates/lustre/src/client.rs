@@ -24,7 +24,7 @@ pub enum LustreError {
     Store(StoreError),
     /// Network/RPC failure.
     Rpc(RpcError),
-    /// The OSS write ack's commit checksum did not match the bytes the
+    /// The OSS write ack's commit CRC32C did not match the bytes the
     /// client sent: the committed extent is corrupt on media.
     CommitMismatch {
         /// File offset of the mismatching stripe extent.
@@ -226,10 +226,10 @@ impl LustreFile {
 
     /// Write `data` at an explicit offset, striping across OSTs in
     /// parallel (bounded by `max_rpcs_in_flight × stripe_count`). Each
-    /// stripe ack carries the OSS's commit checksum; the client compares
-    /// it against the checksum of the slice it sent, so a corrupted
-    /// commit surfaces as [`LustreError::CommitMismatch`] rather than a
-    /// silent success — without paying for a read-back.
+    /// stripe ack carries the CRC32C of the bytes the OSS committed; the
+    /// client compares it against the CRC32C of the slice it sent, so a
+    /// corrupted commit surfaces as [`LustreError::CommitMismatch`] rather
+    /// than a silent success — without paying for a read-back.
     pub async fn write_at(&self, offset: u64, data: Bytes) -> Result<(), LustreError> {
         let sim = self.client.cluster.oss_net.fabric().sim().clone();
         // kernel-client copy cost (serial per writer)
@@ -253,7 +253,7 @@ impl LustreFile {
             futs.push(async move {
                 let _permit = inflight.acquire().await;
                 let wire = chunk.len() as u64 + 64;
-                let sent = crate::oss::commit_crc(&chunk);
+                let sent = simkit::checksum::crc32c(&chunk);
                 let r: Result<u32, StoreError> = net
                     .call(src, oss_node, OSS_SERVICE, wire, |reply| OssMsg::Write {
                         ost_slot,
@@ -552,5 +552,71 @@ mod tests {
         let floor = (16.0 * bytes as f64) / (2.0 * 450e6);
         assert!(end > floor * 0.9, "finished impossibly fast: {end:.3}s");
         assert!(end < floor * 2.0, "far slower than device bound: {end:.3}s");
+    }
+
+    #[test]
+    fn corrupt_commit_surfaces_as_commit_mismatch() {
+        // Every OSS corrupts every commit between 1 s and 2 s. The plan RNG
+        // picks the byte and bit; reading the extent back shows which byte
+        // the OST holds damaged, so the sweep proves that flips of the
+        // first, last and interior bytes under several masks all fail the
+        // commit checksum.
+        use simkit::{dur, FaultEvent, FaultPlan, Time};
+        let (sim, _f, cluster) = fs(1, LustreConfig::default());
+        let mut plan = FaultPlan::new(5);
+        for oss in &cluster.osses {
+            let node = oss.node().0;
+            plan = plan.at(dur::secs(1), FaultEvent::CorruptCommit { node, p: 1.0 });
+        }
+        sim.install_faults(plan.at(dur::secs(2), FaultEvent::ClearEdges));
+        let client = cluster.client(NodeId(0));
+        let stripe = cluster.config.stripe_size;
+        let s = sim.clone();
+        sim.block_on(async move {
+            let fh = client.create("/commit").await.unwrap();
+            fh.write_at(0, patterned(4096)).await.unwrap();
+            assert!(
+                s.now() < Time::from_secs(1),
+                "clean write ran past the rules"
+            );
+
+            s.sleep_until(Time::from_secs(1)).await;
+            let (mut first, mut last, mut interior) = (false, false, false);
+            let mut masks = 0u8;
+            for i in 0..64u64 {
+                let len = [2u64, 3, 7, 8, 9, 64, 4096][i as usize % 7];
+                let off = (i % 4) * stripe + 100;
+                let data = Bytes::from((0..len).map(|b| (b * 7 + i) as u8).collect::<Vec<u8>>());
+                match fh.write_at(off, data.clone()).await {
+                    Err(LustreError::CommitMismatch { offset }) => assert_eq!(offset, off),
+                    other => panic!("write {i} of {len} B: {other:?}"),
+                }
+                let back = fh.read_at(off, len).await.unwrap();
+                let flips: Vec<(usize, u8)> = (0..len as usize)
+                    .filter(|&b| back[b] != data[b])
+                    .map(|b| (b, back[b] ^ data[b]))
+                    .collect();
+                assert_eq!(flips.len(), 1, "write {i}: {flips:?}");
+                let (at, mask) = flips[0];
+                assert_eq!(mask.count_ones(), 1);
+                masks |= mask;
+                first |= at == 0;
+                last |= at == len as usize - 1;
+                interior |= at > 0 && at < len as usize - 1;
+            }
+            assert!(first && last && interior, "{first} {last} {interior}");
+            assert!(masks.count_ones() >= 4, "masks {masks:#010b}");
+            // a write spanning stripes fails on the first corrupt stripe
+            let r = fh.write_at(0, patterned(3 << 20)).await;
+            assert!(
+                matches!(r, Err(LustreError::CommitMismatch { .. })),
+                "{r:?}"
+            );
+
+            s.sleep_until(Time::from_secs(2)).await;
+            let data = patterned(3 << 20);
+            fh.write_at(0, data.clone()).await.unwrap();
+            assert_eq!(fh.read_at(0, 3 << 20).await.unwrap(), data);
+        });
     }
 }

@@ -25,7 +25,7 @@ use simkit::dur;
 
 pub use client::{LustreClient, LustreError, LustreFile};
 pub use mds::{FileLayout, Mds, MdsError};
-pub use oss::{commit_crc, Oss, OssMsg};
+pub use oss::{Oss, OssMsg};
 
 /// Cluster-wide Lustre configuration.
 #[derive(Debug, Clone, Copy)]

@@ -6,30 +6,20 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::{NodeId, ReplyHandle, Switchboard};
+use simkit::checksum::crc32c;
 use simkit::telemetry::{Counter, Gauge};
 use storesim::{Disk, DiskParams, ObjectStore, StoreError};
 
 use crate::LustreConfig;
 
-/// Checksum an OSS computes over the bytes it actually commits and returns
-/// in the write ack (FNV-1a 32). Clients compare it against the checksum of
-/// the bytes they sent: a mismatch means the committed extent differs from
-/// the submitted one (corruption between wire and media), detected at 1×
-/// device cost — no read-back required.
-pub fn commit_crc(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// OSS data-path RPCs. `ost_slot` addresses an OST local to the receiving
 /// OSS.
 pub enum OssMsg {
     /// Write `data` into object `obj` at `offset`. The ack carries the
-    /// [`commit_crc`] of the committed bytes.
+    /// CRC32C ([`simkit::checksum::crc32c`]) of the bytes the OST
+    /// committed, which the client compares against the CRC32C of the
+    /// bytes it sent: a mismatch means the committed extent differs from
+    /// the submitted one, detected at 1× device cost with no read-back.
     Write {
         /// OST slot on this OSS.
         ost_slot: usize,
@@ -195,7 +185,7 @@ impl Oss {
                 };
                 // the ack checksum covers the post-corruption bytes — what
                 // the media actually holds, not what the client sent
-                let crc = commit_crc(&data);
+                let crc = crc32c(&data);
                 let r = self.osts[ost_slot].write_at(obj, offset, data).await;
                 reply.send(r.map(|()| crc), 64);
             }

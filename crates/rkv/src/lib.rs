@@ -9,6 +9,7 @@
 //! * [`slab`] / [`store`] — the storage engine (real data structures,
 //!   host-thread-safe via [`sharded`]);
 //! * [`hash`] — FNV-1a and the consistent-hash ring;
+//! * [`checksum`] — the CRC32C chunk digest, re-exported from `simkit`;
 //! * [`proto`] — the binary wire protocol;
 //! * [`server`] — a per-node KV server process on the simulated fabric;
 //! * [`client`] — connection-caching client with the hybrid protocol:
@@ -18,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checksum;
 pub mod client;
 pub mod hash;
 pub mod hotness;
@@ -35,5 +35,6 @@ pub use hash::{fnv1a, HashRing};
 pub use membership::Membership;
 pub use server::{KvServer, KvServerConfig};
 pub use sharded::ShardedKv;
+pub use simkit::checksum;
 pub use slab::{SlabConfig, SlabFull};
 pub use store::{KvError, KvStats, KvStore, Value};

@@ -4,7 +4,8 @@
 //! single-threaded async executor driven by a virtual clock
 //! ([`executor::Sim`]), plus the primitives discrete-event models need —
 //! timers, channels ([`sync`]), queueing resources ([`resource`]), seeded
-//! randomness ([`rng`]), and metrics ([`stats`]).
+//! randomness ([`rng`]), and metrics ([`stats`]). [`checksum`] holds the
+//! CRC32C kernel every integrity check in the workspace shares.
 //!
 //! ## Why virtual time
 //!
@@ -31,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod executor;
 pub mod faultplan;
 pub mod flight;
